@@ -9,9 +9,9 @@
 // The baseline is the pre-compiled-path hot loop: regenerate the trace at
 // every sweep point and predict through the string-keyed ModelSet
 // resolver (map lookup per call, linear region scan, one polynomial at a
-// time). The compiled path is Engine::rank / Engine::tune, which compile
-// each sweep point once, cache it in the sharded trace LRU, and predict
-// over pre-resolved model slots.
+// time). The compiled path is Engine::rank / Engine::tune, which record
+// each sweep point straight into its compiled form once, cache it in the
+// sharded trace LRU, and predict once per resolved model snapshot.
 //
 // Model generation uses a deterministic synthetic cost surface and runs
 // before the timed region (Engine::prepare). Three gates (acceptance

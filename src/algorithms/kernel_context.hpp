@@ -6,7 +6,9 @@
 // blocked algorithms are written once against this interface; an
 // ExecContext dispatches into a real BLAS backend, while the predictor's
 // TraceContext (predict/trace.hpp) records a KernelCall per invocation
-// without touching operand memory.
+// and its TraceCompiler (predict/compiled_trace.hpp) dedupes each
+// invocation straight into a CompiledTrace, both without touching
+// operand memory.
 
 #include "blas/backend.hpp"
 #include "common/types.hpp"

@@ -39,6 +39,21 @@ Status internal_error(const char* where, const std::exception& e) {
                        std::string(where) + ": " + e.what());
 }
 
+using Pins = std::vector<std::shared_ptr<const RoutineModel>>;
+
+/// The snapshot of `pins` for `trace`, carrying the prediction they give.
+std::shared_ptr<const ResolvedSlots> seal(const CompiledTrace& trace,
+                                          std::uint64_t version, Pins pins) {
+  std::vector<const RoutineModel*> models;
+  models.reserve(pins.size());
+  for (const auto& pin : pins) models.push_back(pin.get());
+  auto snap = std::make_shared<ResolvedSlots>();
+  snap->version = version;
+  snap->prediction = trace.predict(models);
+  snap->pins = std::move(pins);
+  return snap;
+}
+
 }  // namespace
 
 Engine::Engine(EngineConfig config)
@@ -89,9 +104,8 @@ Engine::PlanFn Engine::spec_plan(std::vector<OperationSpec> specs,
 
 // ------------------------------------------------------------ compilation
 
-std::shared_ptr<CompiledSweepPoint> Engine::compile_trace(
-    const CallTrace& trace, const SystemSpec& system) {
-  CompiledTrace compiled = CompiledTrace::compile(trace, config_.prediction);
+std::shared_ptr<CompiledSweepPoint> Engine::make_point(
+    CompiledTrace compiled, const SystemSpec& system) {
   std::vector<int> ids;
   ids.reserve(compiled.keys().size());
   for (const CompiledKey& key : compiled.keys()) {
@@ -110,7 +124,9 @@ std::shared_ptr<CompiledSweepPoint> Engine::compile_spec(
   const SweepPointKey key{spec.op,        spec.variant,   spec.m, spec.n,
                           spec.blocksize, system.backend, system.locality};
   if (auto hit = trace_cache_.find(key)) return hit;
-  auto point = compile_trace(spec.trace(), system);
+  TraceCompiler compiler(config_.prediction);
+  spec.record(compiler);
+  auto point = make_point(compiler.finish(), system);
   trace_cache_.insert(key, point);
   return point;
 }
@@ -333,16 +349,21 @@ Status Engine::resolve(
         model_version_.load(std::memory_order_acquire) != version;
     for (const std::size_t i : stale) {
       const std::vector<int>& ids = points[i]->ids();
-      auto snap = std::make_shared<ResolvedSlots>();
-      snap->assign(ids.size(), version);
+      Pins pins(ids.size());
       for (std::size_t k = 0; k < ids.size(); ++k) {
         const auto it = resolved.find(ids[k]);
         if (it == resolved.end()) continue;  // degenerate-only key
-        snap->set(k, it->second);
+        pins[k] = it->second;
       }
-      // With a moved version this snapshot is only the base for the
-      // upgrade pass below, which builds (and stores) the final one.
-      if (!version_moved) points[i]->store_slots(snap);
+      if (version_moved) {
+        // Only the base for the upgrade pass below, which builds (and
+        // stores) the final snapshot: no prediction yet.
+        (*slots)[i] = std::make_shared<const ResolvedSlots>(
+            ResolvedSlots{version, std::move(pins), {}});
+        continue;
+      }
+      auto snap = seal(points[i]->trace(), version, std::move(pins));
+      points[i]->store_slots(snap);
       (*slots)[i] = std::move(snap);
     }
 
@@ -360,8 +381,7 @@ Status Engine::resolve(
       for (std::size_t i = 0; i < points.size(); ++i) {
         const std::vector<int>& ids = points[i]->ids();
         const ResolvedSlots& base = *(*slots)[i];
-        auto snap = std::make_shared<ResolvedSlots>();
-        snap->assign(ids.size(), version);
+        Pins pins(ids.size());
         for (std::size_t k = 0; k < ids.size(); ++k) {
           const auto id = static_cast<std::size_t>(ids[k]);
           std::shared_ptr<const RoutineModel> use = base.pins[k];
@@ -372,8 +392,9 @@ Status Engine::resolve(
               cache_[id]->model.domain().covers(use->model.domain())) {
             use = cache_[id];
           }
-          snap->set(k, std::move(use));
+          pins[k] = std::move(use);
         }
+        auto snap = seal(points[i]->trace(), version, std::move(pins));
         points[i]->store_slots(snap);
         (*slots)[i] = std::move(snap);
       }
@@ -396,7 +417,19 @@ Result<Prediction> Engine::predict(const PredictQuery& query) noexcept {
       point = compile_spec(*query.spec, system);
       plan = spec_plan({*query.spec}, system);
     } else {
-      point = compile_trace(query.trace, system);
+      // The compiler's fixed-width keys and call_flops both rely on
+      // well-formed calls: reject malformed ones before compiling.
+      for (std::size_t i = 0; i < query.trace.size(); ++i) {
+        try {
+          validate_call(query.trace[i]);
+        } catch (const invalid_argument_error& e) {
+          return Status::error(
+              StatusCode::InvalidQuery,
+              "calls[" + std::to_string(i) + "]: " + e.what());
+        }
+      }
+      point = make_point(
+          CompiledTrace::compile(query.trace, config_.prediction), system);
       plan = [trace = &query.trace, system, policy = config_.planning] {
         return plan_jobs(*trace, system, policy);
       };
@@ -406,7 +439,7 @@ Result<Prediction> Engine::predict(const PredictQuery& query) noexcept {
       return s;
     }
     if (config_.query_hook) config_.query_hook();
-    return point->trace().predict(slots[0]->models);
+    return slots[0]->prediction;
   } catch (const std::exception& e) {
     return internal_error("Engine::predict", e);
   }
@@ -440,7 +473,7 @@ Result<Ranking> Engine::rank(const RankQuery& query) noexcept {
     out.candidates = query.candidates;
     out.predictions.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-      out.predictions.push_back(points[i]->trace().predict(slots[i]->models));
+      out.predictions.push_back(slots[i]->prediction);
     }
     out.order = rank_order(out.median_ticks());
     return out;
@@ -480,7 +513,7 @@ Result<TuneResult> Engine::tune(const TuneQuery& query) noexcept {
 
     out.predictions.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-      out.predictions.push_back(points[i]->trace().predict(slots[i]->models));
+      out.predictions.push_back(slots[i]->prediction);
     }
     out.best_index = static_cast<index_t>(rank_order(out.median_ticks())[0]);
     return out;

@@ -17,14 +17,15 @@
 //   - batched and async entry points: predict_many fans independent
 //     queries out across the service's ThreadPool; submit returns a
 //     std::future;
-//   - the compiled sweep path: every query point is compiled to a
-//     CompiledTrace (deduped calls, predict/compiled_trace.hpp) with its
-//     resolver keys interned to dense ids (api/intern.hpp) and its models
-//     held in a versioned slot snapshot; compiled points are cached in a
-//     sharded LRU keyed by (family, variant, sizes, blocksize, system)
-//     (api/trace_cache.hpp), so a repeated or overlapping sweep skips
-//     trace generation, compilation, interning and model resolution, and
-//     prediction evaluates each model once per unique call.
+//   - the compiled sweep path: every query point is recorded straight
+//     into a CompiledTrace (deduped calls, predict/compiled_trace.hpp)
+//     with its resolver keys interned to dense ids (api/intern.hpp) and
+//     its models and their prediction held in a versioned slot snapshot;
+//     compiled points are cached in a sharded LRU keyed by (family,
+//     variant, sizes, blocksize, system) (api/trace_cache.hpp), so a
+//     repeated or overlapping sweep skips recording, interning, model
+//     resolution and prediction, and a cold point evaluates each model
+//     once per unique call.
 
 #include <atomic>
 #include <condition_variable>
@@ -67,7 +68,7 @@ struct EngineConfig {
   /// every spec query then recompiles its trace).
   index_t trace_cache_capacity = 4096;
   /// Test/bench hook: invoked once per predict-query evaluation, after
-  /// model resolution and before the accumulation loop. Lets throughput
+  /// model resolution and before the answer is returned. Lets throughput
   /// benches make queries latency-bound to measure dispatch overlap
   /// independently of the host's core count (the same trick
   /// ServiceConfig::measure_factory plays for generation). Production
@@ -219,20 +220,21 @@ class Engine {
     return override_spec.value_or(config_.system);
   }
 
-  /// Compiles a raw trace into an (uncached) sweep point: dedupe the
-  /// calls, intern the resolver keys under `system`.
-  [[nodiscard]] std::shared_ptr<CompiledSweepPoint> compile_trace(
-      const CallTrace& trace, const SystemSpec& system);
+  /// A sweep point for `compiled`: its resolver keys interned under
+  /// `system`. Raw-trace queries use it uncached.
+  [[nodiscard]] std::shared_ptr<CompiledSweepPoint> make_point(
+      CompiledTrace compiled, const SystemSpec& system);
 
   /// Cached compilation of a validated spec: trace-cache lookup, or
-  /// trace + compile + intern + insert on a miss.
+  /// record into a TraceCompiler + intern + insert on a miss.
   [[nodiscard]] std::shared_ptr<CompiledSweepPoint> compile_spec(
       const OperationSpec& spec, const SystemSpec& system);
 
   /// Produces one current slot snapshot per sweep point: fresh snapshots
   /// are reused as-is; stale ones trigger model resolution (engine cache
   /// -> repository -> on-demand generation), coverage verification
-  /// against the points' unique calls, and a version-stamped rebuild.
+  /// against the points' unique calls, and a version-stamped rebuild
+  /// that predicts the point once (ResolvedSlots::prediction).
   [[nodiscard]] Status resolve(
       const std::vector<const CompiledSweepPoint*>& points,
       const SystemSpec& system, const PlanFn& plan,

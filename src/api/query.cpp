@@ -50,8 +50,14 @@ Status OperationSpec::validate() const {
   return {};
 }
 
+void OperationSpec::record(KernelContext& ctx) const {
+  OperationRegistry::instance().require(op).record(*this, ctx);
+}
+
 CallTrace OperationSpec::trace() const {
-  return OperationRegistry::instance().require(op).trace(*this);
+  TraceContext ctx;
+  record(ctx);
+  return ctx.take();
 }
 
 double OperationSpec::nominal_flops() const {

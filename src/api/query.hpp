@@ -66,8 +66,13 @@ struct OperationSpec {
   /// otherwise).
   [[nodiscard]] Status validate() const;
 
-  /// The operation's exact invocation sequence (requires validate().ok();
-  /// throws dlap::lookup_error on unregistered families).
+  /// Issues the operation's exact invocation sequence into `ctx` through
+  /// its family's recorder (requires validate().ok(); throws
+  /// dlap::lookup_error on unregistered families).
+  void record(KernelContext& ctx) const;
+
+  /// The recorded invocation sequence as a CallTrace (record() into a
+  /// TraceContext).
   [[nodiscard]] CallTrace trace() const;
 
   /// Nominal flop count of the operation (the paper's efficiency formulas

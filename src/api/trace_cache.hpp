@@ -7,17 +7,21 @@
 // queries, and across overlapping queries from many users. Each point's
 // work factors into three layers of decreasing volatility:
 //
-//   1. the call trace and its compiled form   -- fixed per sweep point,
+//   1. the compiled trace                     -- fixed per sweep point;
+//                                                recorded straight into
+//                                                its compiled form by a
+//                                                TraceCompiler, no
+//                                                CallTrace in between,
 //   2. the interned resolver ids of its keys  -- fixed per engine,
-//   3. the resolved model pointers            -- valid until some model
-//                                                is (re)generated.
+//   3. the resolved model pointers and the    -- valid until some model
+//      prediction they give                      is (re)generated.
 //
 // CompiledSweepPoint captures 1+2 immutably and 3 as a versioned snapshot
 // (ResolvedSlots) stamped with the engine's model-cache version; when a
 // generation widens any model the version moves on and the snapshot is
 // rebuilt on next use (invalidation-on-regeneration). The points live in
 // a sharded LRU keyed by SweepPointKey, so a repeated or overlapping
-// sweep skips trace generation, compilation and interning entirely.
+// sweep skips recording, interning, resolution and prediction entirely.
 
 #include <cstdint>
 #include <memory>
@@ -62,24 +66,17 @@ struct SweepPointKeyHash {
 };
 
 /// Immutable snapshot of the models resolved for a compiled trace's keys,
-/// stamped with the engine model-cache version it was built against.
-/// `pins[k]` answers keys()[k] (null only for keys the prediction never
-/// consults) and keeps it alive for the snapshot's lifetime; `models` is
-/// the raw-pointer mirror the lock-free predict loop indexes.
+/// stamped with the engine model-cache version it was built against, and
+/// the answer they give. `pins[k]` answers keys()[k] (null only for keys
+/// the prediction never consults) and keeps it alive for the snapshot's
+/// lifetime. `prediction` is CompiledTrace::predict over those models,
+/// computed once when the snapshot is built: it is a pure function of the
+/// compiled trace and the pinned models, so it is valid exactly as long
+/// as the snapshot is, and a warm query reads it instead of predicting.
 struct ResolvedSlots {
   std::uint64_t version = 0;
-  std::vector<const RoutineModel*> models;
   std::vector<std::shared_ptr<const RoutineModel>> pins;  // aligned per key
-
-  void assign(std::size_t keys, std::uint64_t v) {
-    version = v;
-    models.assign(keys, nullptr);
-    pins.assign(keys, nullptr);
-  }
-  void set(std::size_t k, std::shared_ptr<const RoutineModel> model) {
-    models[k] = model.get();
-    pins[k] = std::move(model);
-  }
+  Prediction prediction;
 };
 
 /// One cached sweep point: the compiled trace, its keys' interned ids

@@ -25,8 +25,8 @@ void register_builtin_families(OperationRegistry& registry) {
   trinv.name = "trinv";
   trinv.variant_count = kTrinvVariantCount;
   trinv.size_axes = 1;
-  trinv.trace = [](const OperationSpec& s) {
-    return trace_trinv(s.variant, s.n, s.blocksize);
+  trinv.record = [](const OperationSpec& s, KernelContext& ctx) {
+    record_trinv(ctx, s.variant, s.n, s.blocksize);
   };
   trinv.nominal_flops = [](const OperationSpec& s) {
     return trinv_flops(s.n);
@@ -39,8 +39,8 @@ void register_builtin_families(OperationRegistry& registry) {
   sylv.name = "sylv";
   sylv.variant_count = kSylvVariantCount;
   sylv.size_axes = 2;
-  sylv.trace = [](const OperationSpec& s) {
-    return trace_sylv(s.variant, s.m, s.n, s.blocksize);
+  sylv.record = [](const OperationSpec& s, KernelContext& ctx) {
+    record_sylv(ctx, s.variant, s.m, s.n, s.blocksize);
   };
   sylv.nominal_flops = [](const OperationSpec& s) {
     return sylv_flops(s.m, s.n);
@@ -53,8 +53,8 @@ void register_builtin_families(OperationRegistry& registry) {
   chol.name = "chol";
   chol.variant_count = kCholVariantCount;
   chol.size_axes = 1;
-  chol.trace = [](const OperationSpec& s) {
-    return trace_chol(s.variant, s.n, s.blocksize);
+  chol.record = [](const OperationSpec& s, KernelContext& ctx) {
+    record_chol(ctx, s.variant, s.n, s.blocksize);
   };
   chol.nominal_flops = [](const OperationSpec& s) {
     return chol_flops(s.n);

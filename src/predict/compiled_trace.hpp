@@ -16,6 +16,14 @@
 // per key through PiecewiseModel::evaluate_many) and then accumulates the
 // cached estimates over the original call order.
 //
+// A TraceCompiler builds that form while the blocked algorithm runs: it
+// is a KernelContext that dedupes each call as it is issued, keyed by a
+// fixed-width (routine, flags, sizes) value in a flat hash table, so the
+// engine never materializes a CallTrace for a sweep point. A repeated
+// call costs a table probe and an order-vector append; only a unique
+// entry allocates. CompiledTrace::compile replays a recorded CallTrace
+// through the same compiler.
+//
 // Accumulating in source order -- rather than folding each entry's
 // contribution as multiplicity * estimate (and multiplicity-scaled
 // variance for the stddev) -- costs a few additions per call but keeps
@@ -25,9 +33,11 @@
 // region search, polynomial evaluation) is per unique entry either way.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "algorithms/kernel_context.hpp"
 #include "predict/predictor.hpp"
 #include "predict/trace.hpp"
 
@@ -56,11 +66,13 @@ class CompiledTrace {
  public:
   CompiledTrace() = default;
 
-  /// Compiles `trace`. With options.skip_empty_calls (the default),
-  /// degenerate zero-size calls are counted and dropped -- they never
-  /// reach a model, exactly as in Predictor::predict. options.strict is
-  /// irrelevant here (predict() is table-driven and never throws on
-  /// missing models, like predict_with_table).
+  /// Compiles `trace` by replaying it through a TraceCompiler. With
+  /// options.skip_empty_calls (the default), degenerate zero-size calls
+  /// are counted and dropped -- they never reach a model, exactly as in
+  /// Predictor::predict. options.strict is irrelevant here (predict() is
+  /// table-driven and never throws on missing models, like
+  /// predict_with_table). Throws dlap::invalid_argument_error on a call
+  /// with more flags or sizes than any routine signature has.
   [[nodiscard]] static CompiledTrace compile(const CallTrace& trace,
                                              const PredictionOptions& options =
                                                  {});
@@ -101,6 +113,8 @@ class CompiledTrace {
       const std::vector<const RoutineModel*>& models_by_key) const;
 
  private:
+  friend class TraceCompiler;
+
   std::vector<CompiledKey> keys_;
   std::vector<CompiledCall> entries_;
   std::vector<std::vector<std::uint32_t>> key_entries_;
@@ -112,6 +126,73 @@ class CompiledTrace {
   bool skip_empty_ = true;
 
   static constexpr std::int32_t kSkippedCall = -1;
+};
+
+/// KernelContext that compiles the calls an algorithm issues into a
+/// CompiledTrace on the fly. Entries, keys and the per-call order come
+/// out exactly as CompiledTrace::compile produces them from the recorded
+/// trace (first appearance order), so predictions are bit-identical.
+/// Operand pointers are never dereferenced.
+class TraceCompiler final : public KernelContext {
+ public:
+  explicit TraceCompiler(const PredictionOptions& options = {});
+
+  /// Records one call given in KernelCall form (the replay path). Throws
+  /// dlap::invalid_argument_error when the call has more than kMaxFlags
+  /// flags or kMaxSizes sizes.
+  void add(const KernelCall& call);
+
+  /// The compiled form of every call recorded so far, without growth
+  /// slack (it is what a trace cache keeps). Leaves the compiler empty
+  /// and ready for another recording.
+  [[nodiscard]] CompiledTrace finish();
+
+  void gemm(Trans transa, Trans transb, index_t m, index_t n, index_t k,
+            double alpha, const double* a, index_t lda, const double* b,
+            index_t ldb, double beta, double* c, index_t ldc) override;
+  void trsm(Side side, Uplo uplo, Trans transa, Diag diag, index_t m,
+            index_t n, double alpha, const double* a, index_t lda, double* b,
+            index_t ldb) override;
+  void trmm(Side side, Uplo uplo, Trans transa, Diag diag, index_t m,
+            index_t n, double alpha, const double* a, index_t lda, double* b,
+            index_t ldb) override;
+  void syrk(Uplo uplo, Trans trans, index_t n, index_t k, double alpha,
+            const double* a, index_t lda, double beta, double* c,
+            index_t ldc) override;
+  void trinv_unb(int variant, index_t n, double* l, index_t ldl) override;
+  void chol_unb(int variant, index_t n, double* a, index_t lda) override;
+  void sylv_unb(index_t m, index_t n, const double* l, index_t ldl,
+                const double* u, index_t ldu, double* x,
+                index_t ldx) override;
+
+  /// Widest flag and size lists of any routine signature.
+  static constexpr std::size_t kMaxFlags = 4;
+  static constexpr std::size_t kMaxSizes = 3;
+
+ private:
+  /// Fixed-width identity of one call: what models see of it.
+  struct CallKey {
+    index_t sizes[kMaxSizes] = {};
+    char flags[kMaxFlags] = {};
+    RoutineId routine = RoutineId::Gemm;
+    std::uint8_t nflags = 0;
+    std::uint8_t nsizes = 0;
+
+    [[nodiscard]] bool operator==(const CallKey&) const = default;
+  };
+
+  void add(RoutineId routine, std::span<const char> flags,
+           std::span<const index_t> sizes);
+  void add(const CallKey& key);
+  [[nodiscard]] static std::size_t hash(const CallKey& key);
+  [[nodiscard]] int key_index(const CallKey& key);
+  void grow_table();
+
+  CompiledTrace out_;
+  std::vector<CallKey> entry_keys_;  ///< aligned with out_.entries_
+  /// Open-addressing table of entry indices (-1 = empty), power-of-two
+  /// sized, at most half full.
+  std::vector<std::int32_t> table_;
 };
 
 }  // namespace dlap

@@ -1,9 +1,10 @@
 #include "predict/trace.hpp"
 
+#include <algorithm>
+
 #include "algorithms/chol.hpp"
 #include "algorithms/sylv.hpp"
 #include "algorithms/trinv.hpp"
-#include "common/matrix.hpp"
 
 namespace dlap {
 
@@ -56,14 +57,26 @@ void TraceContext::syrk(Uplo uplo, Trans trans, index_t n, index_t k,
   trace_.push_back(std::move(c));
 }
 
+RoutineId trinv_unb_routine(int variant) {
+  switch (variant) {
+    case 1: return RoutineId::Trinv1Unb;
+    case 2: return RoutineId::Trinv2Unb;
+    case 3: return RoutineId::Trinv3Unb;
+    default: return RoutineId::Trinv4Unb;
+  }
+}
+
+RoutineId chol_unb_routine(int variant) {
+  switch (variant) {
+    case 1: return RoutineId::Chol1Unb;
+    case 2: return RoutineId::Chol2Unb;
+    default: return RoutineId::Chol3Unb;
+  }
+}
+
 void TraceContext::trinv_unb(int variant, index_t n, double*, index_t ldl) {
   KernelCall c;
-  switch (variant) {
-    case 1: c.routine = RoutineId::Trinv1Unb; break;
-    case 2: c.routine = RoutineId::Trinv2Unb; break;
-    case 3: c.routine = RoutineId::Trinv3Unb; break;
-    default: c.routine = RoutineId::Trinv4Unb; break;
-  }
+  c.routine = trinv_unb_routine(variant);
   c.sizes = {n};
   c.leads = {ldl};
   trace_.push_back(std::move(c));
@@ -71,11 +84,7 @@ void TraceContext::trinv_unb(int variant, index_t n, double*, index_t ldl) {
 
 void TraceContext::chol_unb(int variant, index_t n, double*, index_t lda) {
   KernelCall c;
-  switch (variant) {
-    case 1: c.routine = RoutineId::Chol1Unb; break;
-    case 2: c.routine = RoutineId::Chol2Unb; break;
-    default: c.routine = RoutineId::Chol3Unb; break;
-  }
+  c.routine = chol_unb_routine(variant);
   c.sizes = {n};
   c.leads = {lda};
   trace_.push_back(std::move(c));
@@ -113,30 +122,54 @@ index_t trace_chol_calls(index_t n, index_t blocksize) {
   return 4 * ceil_div(n, blocksize);
 }
 
+std::unique_ptr<double[]> operand_buffer(index_t elements) {
+  return std::make_unique_for_overwrite<double[]>(
+      static_cast<std::size_t>(std::max<index_t>(1, elements)));
+}
+
+void record_trinv(KernelContext& ctx, int variant, index_t n,
+                  index_t blocksize) {
+  const auto l = operand_buffer(n * n);
+  trinv_blocked(ctx, variant, n, l.get(), std::max<index_t>(1, n),
+                blocksize);
+}
+
+void record_sylv(KernelContext& ctx, int variant, index_t m, index_t n,
+                 index_t blocksize) {
+  // One allocation holding L (m x m), U (n x n) and X (m x n).
+  const auto buffer = operand_buffer(m * m + n * n + m * n);
+  double* const l = buffer.get();
+  double* const u = l + m * m;
+  double* const x = u + n * n;
+  const index_t ldm = std::max<index_t>(1, m);
+  sylv_blocked(ctx, variant, m, n, l, ldm, u, std::max<index_t>(1, n), x,
+               ldm, blocksize);
+}
+
+void record_chol(KernelContext& ctx, int variant, index_t n,
+                 index_t blocksize) {
+  const auto a = operand_buffer(n * n);
+  chol_blocked(ctx, variant, n, a.get(), std::max<index_t>(1, n), blocksize);
+}
+
 CallTrace trace_trinv(int variant, index_t n, index_t blocksize) {
-  // The algorithm only forms sub-block pointers; an untouched buffer keeps
-  // that arithmetic valid without costing real memory pages.
-  Matrix dummy(n, n);
   TraceContext ctx;
   ctx.reserve(trace_trinv_calls(n, blocksize));
-  trinv_blocked(ctx, variant, n, dummy.data(), n > 0 ? n : 1, blocksize);
+  record_trinv(ctx, variant, n, blocksize);
   return ctx.take();
 }
 
 CallTrace trace_sylv(int variant, index_t m, index_t n, index_t blocksize) {
-  Matrix l(m, m), u(n, n), x(m, n);
   TraceContext ctx;
   ctx.reserve(trace_sylv_calls(m, n, blocksize));
-  sylv_blocked(ctx, variant, m, n, l.data(), m > 0 ? m : 1, u.data(),
-               n > 0 ? n : 1, x.data(), m > 0 ? m : 1, blocksize);
+  record_sylv(ctx, variant, m, n, blocksize);
   return ctx.take();
 }
 
 CallTrace trace_chol(int variant, index_t n, index_t blocksize) {
-  Matrix dummy(n, n);
   TraceContext ctx;
   ctx.reserve(trace_chol_calls(n, blocksize));
-  chol_blocked(ctx, variant, n, dummy.data(), n > 0 ? n : 1, blocksize);
+  record_chol(ctx, variant, n, blocksize);
   return ctx.take();
 }
 

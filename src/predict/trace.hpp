@@ -5,6 +5,7 @@
 // instead of computing; running a blocked algorithm against it yields the
 // exact invocation sequence the paper prints for trinv variant 1.
 
+#include <memory>
 #include <vector>
 
 #include "algorithms/kernel_context.hpp"
@@ -57,6 +58,27 @@ class TraceContext final : public KernelContext {
  private:
   CallTrace trace_;
 };
+
+/// Routine ids of the unblocked kernels, by variant (any other variant
+/// maps to the last one).
+[[nodiscard]] RoutineId trinv_unb_routine(int variant);
+[[nodiscard]] RoutineId chol_unb_routine(int variant);
+
+/// Operand storage for a recording run: `elements` doubles (at least
+/// one), uninitialized. Recording contexts never read or write operand
+/// memory; the algorithms only form sub-block pointers, which must point
+/// into a real allocation.
+[[nodiscard]] std::unique_ptr<double[]> operand_buffer(index_t elements);
+
+/// Run the built-in blocked algorithms against a recording context
+/// (TraceContext, TraceCompiler) on operand_buffer storage, with the
+/// operand layouts documented at trace_trinv / trace_sylv / trace_chol.
+void record_trinv(KernelContext& ctx, int variant, index_t n,
+                  index_t blocksize);
+void record_sylv(KernelContext& ctx, int variant, index_t m, index_t n,
+                 index_t blocksize);
+void record_chol(KernelContext& ctx, int variant, index_t n,
+                 index_t blocksize);
 
 /// Call-count estimates for the built-in blocked algorithms (slight upper
 /// bounds). The trace generators reserve() their storage from these, and

@@ -288,8 +288,8 @@ TEST(SylvSchedule, Variant16IsFullyEagerRowMajor) {
 }
 
 TEST(SylvSchedule, RejectsOutOfRangeVariants) {
-  EXPECT_THROW(sylv_schedule(0), invalid_argument_error);
-  EXPECT_THROW(sylv_schedule(17), invalid_argument_error);
+  EXPECT_THROW((void)sylv_schedule(0), invalid_argument_error);
+  EXPECT_THROW((void)sylv_schedule(17), invalid_argument_error);
 }
 
 // -------------------------------------------------------- sylv blocked

@@ -178,7 +178,9 @@ TEST(Plan, DerivesOneJobPerDistinctKeyWithCoveringDomain) {
       }
       bool zero = false;
       for (index_t s : call.sizes) zero = zero || s == 0;
-      if (!zero) EXPECT_TRUE(job.request.domain.contains(call.sizes));
+      if (!zero) {
+        EXPECT_TRUE(job.request.domain.contains(call.sizes));
+      }
     }
   }
 }
@@ -428,6 +430,33 @@ TEST(Engine, InvalidSpecsReportInvalidQuery) {
   const auto bad_tune = t.engine.tune(bad_sweep);
   ASSERT_FALSE(bad_tune.ok());
   EXPECT_EQ(bad_tune.status().code, StatusCode::InvalidQuery);
+}
+
+TEST(Engine, MalformedRawTraceCallsReportInvalidQuery) {
+  TempEngine t("dlap_test_api_malformed_calls");
+  const KernelCall good =
+      parse_call("dgemm(N,N,64,64,64,1,A,64,B,64,0,C,64)");
+
+  KernelCall two_sizes = good;  // dgemm needs m, n and k
+  two_sizes.sizes.pop_back();
+  const auto too_few =
+      t.engine.predict(PredictQuery::of(CallTrace{good, two_sizes}));
+  ASSERT_FALSE(too_few.ok());
+  EXPECT_EQ(too_few.status().code, StatusCode::InvalidQuery);
+  EXPECT_NE(too_few.status().message.find("calls[1]"), std::string::npos)
+      << too_few.status().message;
+
+  KernelCall extra_flags = good;  // dgemm takes two flags
+  extra_flags.flags.push_back('N');
+  const auto too_many =
+      t.engine.predict(PredictQuery::of(CallTrace{extra_flags}));
+  ASSERT_FALSE(too_many.ok());
+  EXPECT_EQ(too_many.status().code, StatusCode::InvalidQuery);
+  EXPECT_NE(too_many.status().message.find("calls[0]"), std::string::npos)
+      << too_many.status().message;
+
+  // Rejected before compiling: nothing was planned or generated.
+  EXPECT_EQ(t.engine.interned_keys(), 0u);
 }
 
 TEST(Engine, DegenerateOnlyKeyReportsMissingWhenEmptyCallsAreEvaluated) {

@@ -59,9 +59,9 @@ TEST(Str, ParseIntAcceptsSignedIntegers) {
 }
 
 TEST(Str, ParseIntRejectsGarbage) {
-  EXPECT_THROW(parse_int("12x"), parse_error);
-  EXPECT_THROW(parse_int(""), parse_error);
-  EXPECT_THROW(parse_int("1.5"), parse_error);
+  EXPECT_THROW((void)parse_int("12x"), parse_error);
+  EXPECT_THROW((void)parse_int(""), parse_error);
+  EXPECT_THROW((void)parse_int("1.5"), parse_error);
 }
 
 TEST(Str, ParseDoubleAcceptsFloats) {
@@ -71,9 +71,9 @@ TEST(Str, ParseDoubleAcceptsFloats) {
 }
 
 TEST(Str, ParseDoubleRejectsGarbage) {
-  EXPECT_THROW(parse_double("abc"), parse_error);
-  EXPECT_THROW(parse_double("1.2.3"), parse_error);
-  EXPECT_THROW(parse_double(""), parse_error);
+  EXPECT_THROW((void)parse_double("abc"), parse_error);
+  EXPECT_THROW((void)parse_double("1.2.3"), parse_error);
+  EXPECT_THROW((void)parse_double(""), parse_error);
 }
 
 // -------------------------------------------------------------------- env
@@ -188,8 +188,8 @@ TEST(MatrixView, BlockAddressesSubmatrix) {
 
 TEST(MatrixView, BlockOutOfRangeThrows) {
   Matrix m(4, 4);
-  EXPECT_THROW(m.block(2, 2, 3, 1), invalid_argument_error);
-  EXPECT_THROW(m.block(0, 0, 5, 5), invalid_argument_error);
+  EXPECT_THROW((void)m.block(2, 2, 3, 1), invalid_argument_error);
+  EXPECT_THROW((void)m.block(0, 0, 5, 5), invalid_argument_error);
 }
 
 // ------------------------------------------------------------ matrix_util

@@ -12,6 +12,7 @@
 #include <random>
 
 #include "algorithms/chol.hpp"
+#include "algorithms/sylv.hpp"
 #include "algorithms/trinv.hpp"
 #include "api/engine.hpp"
 #include "api/intern.hpp"
@@ -19,6 +20,7 @@
 #include "common/lru.hpp"
 #include "predict/compiled_trace.hpp"
 #include "predict/trace.hpp"
+#include "storage/pack.hpp"
 
 namespace dlap {
 namespace {
@@ -209,6 +211,96 @@ TEST(CompiledTrace, PredictRequiresOneSlotPerKey) {
   const CompiledTrace compiled =
       CompiledTrace::compile(trace_trinv(1, 128, 64));
   EXPECT_THROW((void)compiled.predict({}), invalid_argument_error);
+}
+
+// ----------------------------------------------------------- TraceCompiler
+
+void expect_same_compiled(const CompiledTrace& a, const CompiledTrace& b) {
+  EXPECT_EQ(a.source_calls(), b.source_calls());
+  EXPECT_EQ(a.skipped(), b.skipped());
+  EXPECT_EQ(a.skip_empty_calls(), b.skip_empty_calls());
+  ASSERT_EQ(a.keys().size(), b.keys().size());
+  for (std::size_t k = 0; k < a.keys().size(); ++k) {
+    EXPECT_EQ(a.keys()[k].routine, b.keys()[k].routine) << "key " << k;
+    EXPECT_EQ(a.keys()[k].flags, b.keys()[k].flags) << "key " << k;
+    EXPECT_EQ(a.entries_of(static_cast<int>(k)),
+              b.entries_of(static_cast<int>(k)))
+        << "key " << k;
+  }
+  ASSERT_EQ(a.entries().size(), b.entries().size());
+  for (std::size_t e = 0; e < a.entries().size(); ++e) {
+    const CompiledCall& x = a.entries()[e];
+    const CompiledCall& y = b.entries()[e];
+    EXPECT_EQ(x.key, y.key) << "entry " << e;
+    EXPECT_EQ(x.sizes, y.sizes) << "entry " << e;
+    EXPECT_EQ(x.point, y.point) << "entry " << e;
+    EXPECT_EQ(x.flops, y.flops) << "entry " << e;
+    EXPECT_EQ(x.multiplicity, y.multiplicity) << "entry " << e;
+    EXPECT_EQ(x.degenerate, y.degenerate) << "entry " << e;
+  }
+}
+
+TEST(TraceCompiler, RecordedEqualsCompiledTraceOnRandomizedSpecs) {
+  // Fixed edge shapes -- n < b, n % b != 0, exact multiples, m != n --
+  // plus seeded random ones, for every variant of every built-in family.
+  struct Shape {
+    index_t m, n, b;
+  };
+  std::vector<Shape> shapes = {{0, 20, 48},   {0, 250, 64}, {0, 192, 64},
+                               {96, 160, 32}, {200, 72, 48}, {40, 40, 48},
+                               {1, 1, 1}};
+  std::mt19937_64 rng(20261019);
+  for (int i = 0; i < 4; ++i) {
+    shapes.push_back({1 + static_cast<index_t>(rng() % 200),
+                      1 + static_cast<index_t>(rng() % 200),
+                      8 + static_cast<index_t>(rng() % 57)});
+  }
+  struct Family {
+    const char* op;
+    int variants;
+  };
+  const Family families[] = {{"trinv", kTrinvVariantCount},
+                             {"chol", kCholVariantCount},
+                             {"sylv", kSylvVariantCount}};
+  for (const bool skip_empty : {true, false}) {
+    PredictionOptions options;
+    options.skip_empty_calls = skip_empty;
+    options.strict = false;
+    TraceCompiler compiler(options);  // reused: finish() must reset it
+    for (const Family& family : families) {
+      for (int v = 1; v <= family.variants; ++v) {
+        for (const Shape& shape : shapes) {
+          const index_t m = std::string(family.op) == "sylv"
+                                ? std::max<index_t>(1, shape.m)
+                                : 0;
+          const OperationSpec spec =
+              OperationSpec::of(family.op, v, m, shape.n, shape.b);
+          ASSERT_TRUE(spec.validate().ok()) << spec.to_string();
+          SCOPED_TRACE(spec.to_string() +
+                       (skip_empty ? " skip_empty" : " evaluate_empty"));
+
+          spec.record(compiler);
+          const CompiledTrace recorded = compiler.finish();
+          const CallTrace trace = spec.trace();
+          expect_same_compiled(recorded,
+                               CompiledTrace::compile(trace, options));
+
+          const ModelSet set = models_for(trace);
+          expect_identical(recorded.predict(table_for(recorded, set)),
+                           Predictor(set, options).predict(trace));
+        }
+      }
+    }
+  }
+}
+
+TEST(TraceCompiler, RejectsCallsWiderThanAnySignature) {
+  KernelCall call = parse_call("dgemm(N,N,8,8,8,1,A,8,B,8,0,C,8)");
+  call.sizes.push_back(8);
+  EXPECT_THROW((void)CompiledTrace::compile({call}), invalid_argument_error);
+  call.sizes.pop_back();
+  call.flags.insert(call.flags.end(), 3, 'N');
+  EXPECT_THROW((void)CompiledTrace::compile({call}), invalid_argument_error);
 }
 
 // ------------------------------------------------------------ region index
@@ -551,6 +643,72 @@ TEST(EngineCompiled, DegenerateOnlyKeyServedFromStoredModelWhenEvaluated) {
   const auto failed = miss.engine.predict(PredictQuery::of(degen));
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code, StatusCode::MissingModel);
+}
+
+TEST(EngineCompiled, MemoizedPredictionFollowsReloadOntoAnotherContainer) {
+  // Two containers packed from repositories generated over different
+  // cost surfaces; the engine serves one, then reloads onto the other.
+  const fs::path root = fs::temp_directory_path() / "dlap_test_compiled_memo";
+  fs::remove_all(root);
+  struct Cleanup {
+    fs::path dir;
+    ~Cleanup() { fs::remove_all(dir); }
+  } cleanup{root};
+  const RankQuery query = RankQuery::chol_variants(160, 32);
+  const auto config_for = [&](const std::string& repo, double offset) {
+    EngineConfig cfg = test_config("unused");
+    cfg.service.repository_dir = root / repo;
+    cfg.service.measure_factory = [offset](const ModelJob& job) {
+      double h = offset;
+      for (char c : ModelService::key_for(job).to_string()) {
+        h = 0.9 * h + static_cast<double>(c);
+      }
+      return synthetic_measure(h);
+    };
+    return cfg;
+  };
+  for (const auto& [repo, offset] :
+       {std::pair<std::string, double>{"a", 0.0}, {"b", 5000.0}}) {
+    {
+      Engine source(config_for(repo, offset));
+      ASSERT_TRUE(source.prepare(query.candidates).ok());
+    }
+    (void)storage::pack_repository(root / repo, root / (repo + ".dlapc"));
+  }
+
+  const fs::path live = root / "live.dlapc";
+  fs::copy_file(root / "a.dlapc", live);
+  EngineConfig cfg = config_for("live", 0.0);
+  cfg.service.container_path = live;
+  cfg.generate_missing = false;
+  Engine engine(cfg);
+
+  const auto first = engine.rank(query);
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  const LruStats before = engine.trace_cache_stats();
+  const auto memoized = engine.rank(query);
+  ASSERT_TRUE(memoized.ok());
+  EXPECT_EQ(engine.trace_cache_stats().hits,
+            before.hits + query.candidates.size());
+  for (std::size_t i = 0; i < query.candidates.size(); ++i) {
+    expect_identical(memoized->predictions[i], first->predictions[i]);
+  }
+
+  // Swap the container in place (atomically) and reload: the cached
+  // points survive, their memoized answers must not.
+  fs::copy_file(root / "b.dlapc", root / "next.dlapc");
+  fs::rename(root / "next.dlapc", live);
+  ASSERT_TRUE(engine.reload().ok());
+  const auto after = engine.rank(query);
+  ASSERT_TRUE(after.ok()) << after.status().to_string();
+  for (std::size_t i = 0; i < query.candidates.size(); ++i) {
+    const OperationSpec& spec = query.candidates[i];
+    expect_identical(after->predictions[i],
+                     repository_reference(engine, spec));
+    EXPECT_NE(after->predictions[i].ticks.median,
+              first->predictions[i].ticks.median)
+        << spec.to_string();
+  }
 }
 
 TEST(EngineCompiled, SpecAndEquivalentRawTraceAgree) {

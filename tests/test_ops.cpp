@@ -73,7 +73,7 @@ TEST(OperationRegistry, RegistrationIsIdempotent) {
   OperationDescriptor clone;
   clone.name = "trinv";
   clone.variant_count = 99;
-  clone.trace = [](const OperationSpec&) { return CallTrace{}; };
+  clone.record = [](const OperationSpec&, KernelContext&) {};
   clone.nominal_flops = [](const OperationSpec&) { return 0.0; };
   EXPECT_FALSE(reg.register_family(std::move(clone)));
   EXPECT_EQ(reg.require("trinv").variant_count, kTrinvVariantCount);
@@ -82,7 +82,9 @@ TEST(OperationRegistry, RegistrationIsIdempotent) {
   OperationDescriptor once;
   once.name = "test_idempotence_op";
   once.variant_count = 2;
-  once.trace = [](const OperationSpec& s) { return trace_trinv(1, s.n, s.blocksize); };
+  once.record = [](const OperationSpec& s, KernelContext& ctx) {
+    record_trinv(ctx, 1, s.n, s.blocksize);
+  };
   once.nominal_flops = [](const OperationSpec& s) { return trinv_flops(s.n); };
   OperationDescriptor again = once;
   EXPECT_TRUE(reg.register_family(std::move(once)));
@@ -95,7 +97,7 @@ TEST(OperationRegistry, RejectsMalformedDescriptors) {
   OperationDescriptor good;
   good.name = "test_malformed_op";
   good.variant_count = 1;
-  good.trace = [](const OperationSpec&) { return CallTrace{}; };
+  good.record = [](const OperationSpec&, KernelContext&) {};
   good.nominal_flops = [](const OperationSpec&) { return 0.0; };
 
   OperationDescriptor nameless = good;
@@ -109,7 +111,7 @@ TEST(OperationRegistry, RejectsMalformedDescriptors) {
                invalid_argument_error);
 
   OperationDescriptor traceless = good;
-  traceless.trace = nullptr;
+  traceless.record = nullptr;
   EXPECT_THROW(reg.register_family(std::move(traceless)),
                invalid_argument_error);
 
@@ -163,14 +165,12 @@ TEST(OperationRegistry, CustomFamilyWithCustomPlannerEndToEnd) {
   op.name = "test_square_gemm";
   op.variant_count = 1;
   op.size_axes = 1;
-  op.trace = [](const OperationSpec& s) {
-    KernelCall c;
-    c.routine = RoutineId::Gemm;
-    c.flags = {'N', 'N'};
-    c.sizes = {s.n, s.n, s.n};
-    c.scalars = {1.0, 0.0};
-    c.leads = {s.n, s.n, s.n};
-    return CallTrace{c};
+  op.record = [](const OperationSpec& s, KernelContext& ctx) {
+    const auto buffer = operand_buffer(3 * s.n * s.n);
+    const double* a = buffer.get();
+    double* c = buffer.get() + 2 * s.n * s.n;
+    ctx.gemm(Trans::NoTrans, Trans::NoTrans, s.n, s.n, s.n, 1.0, a, s.n,
+             a + s.n * s.n, s.n, 0.0, c, s.n);
   };
   op.nominal_flops = [](const OperationSpec& s) {
     const double n = static_cast<double>(s.n);
@@ -196,7 +196,10 @@ TEST(OperationRegistry, CustomFamilyWithCustomPlannerEndToEnd) {
   const OperationSpec spec =
       OperationSpec::of("test_square_gemm", 1, 0, 100, 16);
   ASSERT_TRUE(spec.validate().ok()) << spec.validate().to_string();
-  EXPECT_EQ(spec.trace().size(), 1u);
+  const CallTrace trace = spec.trace();
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(format_call(trace[0]),
+            "dgemm(N,N,100,100,100,1,A,100,B,100,0,C,100)");
 
   const SystemSpec system{"blocked", Locality::InCache};
   const auto jobs = plan_jobs_for_specs({spec}, system, PlanningPolicy{});

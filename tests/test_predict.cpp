@@ -204,7 +204,7 @@ TEST(Predictor, StddevCombinesAsRootSumOfSquares) {
 TEST(Predictor, StrictModeThrowsOnMissingModel) {
   ModelSet set;  // empty
   const Predictor strict(set);
-  EXPECT_THROW(strict.predict(trace_trinv(1, 128, 64)), lookup_error);
+  EXPECT_THROW((void)strict.predict(trace_trinv(1, 128, 64)), lookup_error);
 
   PredictionOptions opts;
   opts.strict = false;
@@ -230,7 +230,7 @@ TEST(Predictor, PredictCallEvaluatesSingleModel) {
   const Predictor pred(set);
   const SampleStats s = pred.predict_call(parse_call("trinv1_unb(64,A,64)"));
   EXPECT_DOUBLE_EQ(s.median, 5.0);
-  EXPECT_THROW(pred.predict_call(parse_call("trinv2_unb(64,A,64)")),
+  EXPECT_THROW((void)pred.predict_call(parse_call("trinv2_unb(64,A,64)")),
                lookup_error);
 }
 

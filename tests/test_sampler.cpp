@@ -45,7 +45,7 @@ TEST(Stats, SingleSampleHasZeroStddev) {
 }
 
 TEST(Stats, EmptyThrows) {
-  EXPECT_THROW(summarize({}), invalid_argument_error);
+  EXPECT_THROW((void)summarize({}), invalid_argument_error);
 }
 
 TEST(Stats, GetSetRoundTrip) {
@@ -63,7 +63,7 @@ TEST(Stats, StatNamesRoundTrip) {
     const Stat s = static_cast<Stat>(i);
     EXPECT_EQ(stat_from_name(stat_name(s)), s);
   }
-  EXPECT_THROW(stat_from_name("p99"), parse_error);
+  EXPECT_THROW((void)stat_from_name("p99"), parse_error);
 }
 
 TEST(Stats, QuantileInterpolates) {
@@ -71,7 +71,7 @@ TEST(Stats, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(quantile(v, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(quantile(v, 1.0), 10.0);
   EXPECT_DOUBLE_EQ(quantile(v, 0.25), 2.5);
-  EXPECT_THROW(quantile(v, 1.5), invalid_argument_error);
+  EXPECT_THROW((void)quantile(v, 1.5), invalid_argument_error);
 }
 
 // ------------------------------------------------------------------ ticks
@@ -108,7 +108,7 @@ TEST(Calls, RoutineNamesRoundTrip) {
     const RoutineId id = static_cast<RoutineId>(i);
     EXPECT_EQ(routine_from_name(routine_name(id)), id);
   }
-  EXPECT_THROW(routine_from_name("dgetrf"), lookup_error);
+  EXPECT_THROW((void)routine_from_name("dgetrf"), lookup_error);
 }
 
 TEST(Calls, ParsesThePaperExample) {
@@ -221,7 +221,7 @@ TEST(Locality, NamesRoundTrip) {
             Locality::InCache);
   EXPECT_EQ(locality_from_name(locality_name(Locality::OutOfCache)),
             Locality::OutOfCache);
-  EXPECT_THROW(locality_from_name("warm"), parse_error);
+  EXPECT_THROW((void)locality_from_name("warm"), parse_error);
 }
 
 TEST(Locality, FlushAndTouchRun) {
@@ -323,7 +323,7 @@ TEST(Machine, CalibrationIsPositiveAndCached) {
 TEST(Machine, EfficiencyDefinition) {
   const double fips = machine_info().flops_per_tick;
   EXPECT_DOUBLE_EQ(efficiency(fips * 100.0, 100.0), 1.0);
-  EXPECT_THROW(efficiency(1.0, 0.0), invalid_argument_error);
+  EXPECT_THROW((void)efficiency(1.0, 0.0), invalid_argument_error);
 }
 
 }  // namespace
